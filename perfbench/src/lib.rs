@@ -494,7 +494,18 @@ pub fn measure(
     let mut layers: Vec<Vec<(&'static str, f64)>> = Vec::new();
     let mut probe: Option<CoreProbe> = None;
     let mut first: Option<(Fingerprint, PassOut)> = None;
-    let mut broken = false;
+    // A smoke-size warm-up pass, untimed but checked, pages in the code
+    // and warms the allocator before the first measured pass.
+    let mut broken = match one_pass(workload, seed, Size::Smoke, false) {
+        Ok(res) => {
+            tally.absorb(&res.rec);
+            false
+        }
+        Err((rec, _)) => {
+            tally.absorb(&rec);
+            true
+        }
+    };
     // Untraced passes fill the budget (half of it when a traced phase
     // follows); at least one pass of each kind runs, and no pass starts
     // that the last one's duration says would overrun its phase. Only

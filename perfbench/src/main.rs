@@ -84,7 +84,7 @@ fn main() -> ExitCode {
     // All load comes from this process, on a pool of at most two workers
     // and never more than the machine's cores.
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = nproc.min(2);
+    let workers = workloads::workers(&args.workload, nproc);
     if let Err(e) = recnmp_exec::set_global_workers(workers) {
         eprintln!("cannot pin the worker pool: {e}");
         return ExitCode::from(2);

@@ -147,6 +147,22 @@ pub mod serve_tiered {
     pub const P99_LIMIT_US: f64 = 2_000.0;
 }
 
+/// Pool workers a workload runs on, never more than `nproc`.
+///
+/// `sls-batch` hands the pool whole per-channel runs of a four-request
+/// call (milliseconds each), and a second worker shortens its passes by
+/// about 1.3x on 2 vCPUs, so it uses two. The serving workloads submit a
+/// fork-join of small per-shard or per-tier tasks for every query (a
+/// few hundred microseconds of work); a second worker gains them 0-20%
+/// and puts cross-CPU wake-ups on every query, so on a shared host their
+/// time would follow the machine's scheduler rather than the program.
+/// They run on one worker, where the pool executes tasks inline on the
+/// calling thread.
+pub fn workers(workload: &str, nproc: usize) -> usize {
+    let wanted = if workload == "sls-batch" { 2 } else { 1 };
+    nproc.clamp(1, wanted)
+}
+
 /// Whether each workload's backends start cold, for the run manifest.
 pub fn cache_state(workload: &str) -> &'static str {
     match workload {
