@@ -1,7 +1,8 @@
 //! Benchmark and reproduction harness for the RecNMP workspace.
 //!
 //! * `cargo run -p recnmp-bench --release --bin repro -- all` regenerates
-//!   every table and figure of the paper (see `EXPERIMENTS.md`).
+//!   every table and figure of the paper (see the README figure map;
+//!   `golden_check` compares them against `goldens/`).
 //! * `cargo bench -p recnmp-bench` runs the Criterion benchmarks — one
 //!   target per paper artifact, each timing the simulation kernel that
 //!   regenerates it.

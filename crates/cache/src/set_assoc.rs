@@ -1,7 +1,6 @@
 //! Set-associative cache model.
 
-use std::collections::HashSet;
-
+use recnmp_types::hash::IdHashSet;
 use recnmp_types::ConfigError;
 
 use crate::config::{CacheConfig, ReplacementPolicy};
@@ -65,7 +64,12 @@ pub struct SetAssocCache {
     lines: Vec<Line>,
     num_sets: usize,
     clock: u64,
-    seen: HashSet<u64>,
+    /// Every line id ever demand-missed, for compulsory-miss accounting.
+    /// Exact, but hashed with the fixed [`IdHashSet`] hasher: the keys
+    /// are line ids the model derives itself and the set is never
+    /// iterated, so SipHash's flood resistance buys nothing on a path
+    /// every miss takes.
+    seen: IdHashSet<u64>,
     stats: CacheStats,
 }
 
@@ -92,7 +96,7 @@ impl SetAssocCache {
             lines,
             num_sets,
             clock: 0,
-            seen: HashSet::new(),
+            seen: IdHashSet::default(),
             stats: CacheStats::new(),
         })
     }

@@ -64,7 +64,7 @@ use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use recnmp_types::{ConfigError, SimError};
@@ -104,15 +104,23 @@ impl ExecPool {
         let handles = if workers == 1 {
             Vec::new()
         } else {
-            (0..workers)
+            // Start-up handshake: every worker has registered its
+            // thread-local pool (which allocates its TLS destructor slot)
+            // before `new` returns, so no worker's one-time set-up lands
+            // inside its first batch.
+            let started = Arc::new(Barrier::new(workers + 1));
+            let handles = (0..workers)
                 .map(|i| {
                     let core = Arc::clone(&core);
+                    let started = Arc::clone(&started);
                     std::thread::Builder::new()
                         .name(format!("recnmp-exec-{i}"))
-                        .spawn(move || worker_loop(&core))
+                        .spawn(move || worker_loop(&core, &started))
                         .expect("spawning pool worker")
                 })
-                .collect()
+                .collect();
+            started.wait();
+            handles
         };
         Ok(Self { core, handles })
     }
@@ -462,10 +470,11 @@ fn help_until_done(core: &PoolCore, batch: *const (), remaining: &AtomicUsize) {
     }
 }
 
-fn worker_loop(core: &Arc<PoolCore>) {
+fn worker_loop(core: &Arc<PoolCore>, started: &Barrier) {
     // Nested submissions from tasks running on this worker reuse the
     // owning pool instead of falling back to the global one.
     CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(core)));
+    started.wait();
     loop {
         let job = {
             let mut sh = core.lock();

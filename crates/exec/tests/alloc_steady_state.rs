@@ -13,7 +13,11 @@
 //!
 //! This file holds exactly one test so no concurrent test thread can
 //! pollute the counter (mirroring `crates/dram/tests/alloc_steady_state.rs`,
-//! which guards the scheduler hot path the tasks themselves run on).
+//! which guards the scheduler hot path the tasks themselves run on), and
+//! it runs without the libtest harness (`harness = false` in
+//! `Cargo.toml`), whose main thread would otherwise allocate concurrently
+//! with the test: the process's only threads are this `main` and the
+//! pools it builds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,7 +47,19 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 use recnmp_exec::{Batch, ExecPool};
 
-#[test]
+/// Runs the one test, answering libtest's `--list` query and printing
+/// libtest's result lines so test runners still see it by name.
+fn main() {
+    const NAME: &str = "steady_state_submit_collect_does_not_allocate";
+    if std::env::args().any(|a| a == "--list") {
+        println!("{NAME}: test\n\n1 test, 0 benchmarks");
+        return;
+    }
+    println!("\nrunning 1 test");
+    steady_state_submit_collect_does_not_allocate();
+    println!("test {NAME} ... ok\n\ntest result: ok. 1 passed; 0 failed; 0 ignored; 0 measured; 0 filtered out\n");
+}
+
 fn steady_state_submit_collect_does_not_allocate() {
     for workers in [1usize, 2] {
         let pool = ExecPool::new(workers).expect("pool");

@@ -14,8 +14,9 @@
 //! The effective constants below are *calibrated*, not derived: they are
 //! chosen so the operator breakdown (Figure 4 shape: SLS share 35–75%,
 //! growing with batch and table count) and the end-to-end speedups
-//! (Figure 18) land near the published values. `EXPERIMENTS.md` records
-//! the deviations.
+//! (Figure 18) land near the published values. The README's figure map
+//! ("Paper figures → experiment ids") names the experiment behind each
+//! figure; `goldens/` holds their committed outputs.
 
 use serde::{Deserialize, Serialize};
 

@@ -2,7 +2,9 @@
 //!
 //! Each experiment regenerates the rows/series of its figure from the
 //! simulators in this workspace and returns them as renderable tables.
-//! `EXPERIMENTS.md` records these outputs next to the paper's numbers.
+//! The README's figure map ("Paper figures → experiment ids") lists them
+//! by paper artifact; `goldens/` holds each one's committed quick-scale
+//! output, which `golden_check` compares against.
 
 mod characterization;
 mod endtoend;
@@ -21,8 +23,9 @@ use crate::render::TextTable;
 
 /// How much work an experiment run does.
 ///
-/// `Quick` keeps traces small enough for tests and benches; `Full` uses
-/// the trace lengths recorded in `EXPERIMENTS.md`.
+/// `Quick` keeps traces small enough for tests and benches (and is what
+/// `goldens/` records); `Full` uses the longer traces `repro --full`
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
     /// Small traces (seconds): tests, benches, smoke runs.

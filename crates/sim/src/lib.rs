@@ -24,7 +24,7 @@
 //!   between the `serve_sweep` binary and the experiment harness;
 //! * [`experiments`] — one entry point per table/figure
 //!   (`fig01_footprint` … `tab02_overhead`), each returning renderable
-//!   tables recorded in `EXPERIMENTS.md`;
+//!   tables (README figure map; committed outputs under `goldens/`);
 //! * [`render`] — plain-text table rendering shared by the `repro` binary
 //!   and the docs.
 //!

@@ -57,6 +57,16 @@ impl ArrivalProcess {
             })
             .collect()
     }
+
+    /// The arrival schedule a serving run seeded `seed` offers:
+    /// [`arrival_times`](Self::arrival_times) drawn from the run's arrival
+    /// stream, which `seed` keeps apart from its query streams. Every
+    /// serving entry point draws its arrivals here, so one seed means one
+    /// schedule for a single node, a sweep point and a fleet alike.
+    pub(crate) fn seeded_arrivals(self, qps: f64, queries: usize, seed: u64) -> Vec<Cycle> {
+        let mut rng = DetRng::seed(seed ^ 0xa5a5_5a5a_0f0f_f0f0);
+        self.arrival_times(qps, queries, &mut rng)
+    }
 }
 
 /// The shape of one query: how much SLS work a single inference request

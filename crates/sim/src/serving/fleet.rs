@@ -448,10 +448,7 @@ impl FleetReport {
 /// or [`SimError::Config`] when placement cannot fit the workload's
 /// tables at either level.
 pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, SimError> {
-    let mut arrival_rng = recnmp_types::rng::DetRng::seed(cfg.seed ^ 0xa5a5_5a5a_0f0f_f0f0);
-    let arrivals = cfg
-        .process
-        .arrival_times(cfg.qps, cfg.queries, &mut arrival_rng);
+    let arrivals = cfg.process.seeded_arrivals(cfg.qps, cfg.queries, cfg.seed);
     let queries = QueryStream::new(cfg.shape, cfg.seed).take_queries(cfg.queries);
     serve_fleet_arrivals(fleet, cfg, &arrivals, &queries)
 }
@@ -699,10 +696,7 @@ pub fn serve_fleet_resilient(
     cfg: &FleetConfig,
     res: &ResilienceConfig,
 ) -> Result<FleetReport, SimError> {
-    let mut arrival_rng = recnmp_types::rng::DetRng::seed(cfg.seed ^ 0xa5a5_5a5a_0f0f_f0f0);
-    let arrivals = cfg
-        .process
-        .arrival_times(cfg.qps, cfg.queries, &mut arrival_rng);
+    let arrivals = cfg.process.seeded_arrivals(cfg.qps, cfg.queries, cfg.seed);
     let queries = QueryStream::new(cfg.shape, cfg.seed).take_queries(cfg.queries);
     serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, &queries)
 }

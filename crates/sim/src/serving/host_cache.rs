@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use recnmp_backend::{SlsTrace, TableUsage};
+use recnmp_backend::{SlsTrace, TableUsage, TraceBatch};
 use recnmp_cache::{CacheConfig, SetAssocCache};
 use recnmp_types::{ConfigError, Cycle, TableId};
 
@@ -88,13 +88,11 @@ impl HostCache {
         let mut residual = SlsTrace::default();
         let mut job_hits = 0u64;
         for mut batch in trace.batches {
-            let table = batch.batch.table;
-            if !self.admitted.contains(&table) {
-                self.misses += batch.lookups();
+            if !self.admits(&batch) {
                 residual.batches.push(batch);
                 continue;
             }
-            let vbytes = batch.batch.spec.vector_bytes;
+            let mut batch_hits = 0u64;
             let mut kept_poolings = Vec::with_capacity(batch.batch.poolings.len());
             let mut kept_addrs = Vec::with_capacity(batch.addrs.len());
             for (pooling, addrs) in batch.batch.poolings.drain(..).zip(batch.addrs.drain(..)) {
@@ -103,13 +101,9 @@ impl HostCache {
                 let mut weights = Vec::with_capacity(pooling.weights.len());
                 let mut kept = Vec::with_capacity(addrs.len());
                 for (slot, addr) in addrs.iter().enumerate() {
-                    if self.cache.access(addr.get()).is_hit() {
-                        self.hits += 1;
-                        job_hits += 1;
-                        self.absorbed_bytes += vbytes;
-                        *self.per_table_hits.entry(table).or_insert(0) += 1;
+                    if self.lookup(addr.get()) {
+                        batch_hits += 1;
                     } else {
-                        self.misses += 1;
                         indices.push(pooling.indices[slot]);
                         if weighted {
                             weights.push(pooling.weights[slot]);
@@ -124,6 +118,8 @@ impl HostCache {
                     kept_addrs.push(kept);
                 }
             }
+            self.absorb(&batch, batch_hits);
+            job_hits += batch_hits;
             if !kept_poolings.is_empty() {
                 batch.batch.poolings = kept_poolings;
                 batch.addrs = kept_addrs;
@@ -131,6 +127,58 @@ impl HostCache {
             }
         }
         (residual, job_hits)
+    }
+
+    /// Runs one query's lookups through the cache exactly as
+    /// [`filter`](Self::filter) would — same cache state, same counters —
+    /// without building the residual trace. The placement dry run uses
+    /// it on the stream's queries in place.
+    pub fn probe(&mut self, trace: &SlsTrace) {
+        for batch in &trace.batches {
+            if self.admits(batch) {
+                let hits = batch
+                    .addrs
+                    .iter()
+                    .flatten()
+                    .filter(|addr| self.lookup(addr.get()))
+                    .count() as u64;
+                self.absorb(batch, hits);
+            }
+        }
+    }
+
+    /// Whether `batch`'s table is admitted; a bypassing batch counts all
+    /// its lookups as misses.
+    fn admits(&mut self, batch: &TraceBatch) -> bool {
+        let admitted = self.admitted.contains(&batch.table());
+        if !admitted {
+            self.misses += batch.lookups();
+        }
+        admitted
+    }
+
+    /// Looks up one vector of an admitted table and counts the outcome:
+    /// `true` (absorbed) when its line is resident, otherwise a miss that
+    /// allocates the line. This struct keeps its own counters and never
+    /// reads the cache's, so the lookup takes the cache's counter-free
+    /// [`fill`](SetAssocCache::fill) path: the same replacement decisions
+    /// as a demand access, without the compulsory-miss set.
+    fn lookup(&mut self, addr: u64) -> bool {
+        let hit = !self.cache.fill(addr);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Credits `hits` absorbed lookups of `batch` to its table.
+    fn absorb(&mut self, batch: &TraceBatch, hits: u64) {
+        if hits > 0 {
+            self.absorbed_bytes += hits * batch.batch.spec.vector_bytes;
+            *self.per_table_hits.entry(batch.table()).or_insert(0) += hits;
+        }
     }
 
     /// `(hits, misses, absorbed_bytes)` accumulated so far.
@@ -287,6 +335,22 @@ mod tests {
         let (again, again_hits) = hc.filter(t);
         assert_eq!(again_hits, cold_hits);
         assert_eq!(again, cold);
+    }
+
+    #[test]
+    fn probe_matches_filter_counters_and_cache_state() {
+        let t = trace(4, 4, 20);
+        let usage = TableUsage::from_trace(&t);
+        let mut filtered = HostCache::build(spec(), &usage, 128).unwrap();
+        let mut probed = filtered.clone();
+        for _ in 0..3 {
+            let _ = filtered.filter(t.clone());
+            probed.probe(&t);
+            assert_eq!(probed.stats(), filtered.stats());
+            assert_eq!(probed.absorbed_profile(), filtered.absorbed_profile());
+        }
+        // Same residency afterwards: the next filter absorbs the same.
+        assert_eq!(probed.filter(t.clone()), filtered.filter(t));
     }
 
     #[test]

@@ -274,10 +274,7 @@ impl DepthGuard {
 /// [`SimError::Config`] when sharded mode cannot place the workload's
 /// tables (capacity overflow).
 pub fn serve(backend: &mut dyn SlsBackend, cfg: &ServingConfig) -> Result<ServingReport, SimError> {
-    let mut arrival_rng = recnmp_types::rng::DetRng::seed(cfg.seed ^ 0xa5a5_5a5a_0f0f_f0f0);
-    let arrivals = cfg
-        .process
-        .arrival_times(cfg.qps, cfg.queries, &mut arrival_rng);
+    let arrivals = cfg.process.seeded_arrivals(cfg.qps, cfg.queries, cfg.seed);
     let queries = QueryStream::new(cfg.shape, cfg.seed).take_queries(cfg.queries);
     serve_arrivals(backend, cfg, &arrivals, &queries)
 }
@@ -455,7 +452,9 @@ fn serve_sharded(
     // cache fronts dispatch; every job then consults it.
     let plan = if let Some(hc) = host_cache.as_mut() {
         for job in jobs {
-            let _ = hc.filter(merge_queries(queries, &job.members));
+            for &q in &job.members {
+                hc.probe(&queries[q]);
+            }
         }
         let absorbed = hc.absorbed_profile();
         hc.reset();

@@ -15,7 +15,7 @@ use recnmp_types::{ByteSize, SimError};
 
 use super::arrivals::{ArrivalProcess, QueryShape, QueryStream};
 use super::policy::{DispatchPolicy, GatherCost, ServingMode, ShardedDispatch, TieredDispatch};
-use super::scheduler::{serve, serve_arrivals, LatencySummary, ServingConfig};
+use super::scheduler::{serve_arrivals, LatencySummary, ServingConfig};
 
 /// A factory producing fresh (cold) backends, so every sweep point starts
 /// from identical hardware state.
@@ -165,9 +165,19 @@ pub fn qps_sweep_at(
             (backend, cfg)
         })
         .collect();
+    // The query stream depends only on shape and seed, so every point
+    // serves the same one; each point draws its own arrivals, exactly as
+    // `serve` would at that load.
+    let stream = QueryStream::new(shape, seed).take_queries(queries);
+    let stream = &stream;
     let tasks: Vec<_> = jobs
         .iter_mut()
-        .map(|(backend, cfg)| move || serve(backend.as_mut(), cfg))
+        .map(|(backend, cfg)| {
+            move || {
+                let arrivals = cfg.process.seeded_arrivals(cfg.qps, cfg.queries, cfg.seed);
+                serve_arrivals(backend.as_mut(), cfg, &arrivals, stream)
+            }
+        })
         .collect();
     let reports = recnmp_exec::current().run_vec(tasks)?;
     let mut points = Vec::with_capacity(offered.len());
@@ -586,6 +596,55 @@ mod tests {
         // Light load is sustained; the knee is at or above it.
         assert!(curve.points[0].sustained());
         assert!(curve.knee().unwrap().utilization >= 0.3);
+    }
+
+    #[test]
+    fn sweep_points_match_independent_serve_calls() {
+        use super::super::policy::HostCacheSpec;
+        use super::super::scheduler::serve;
+        let shape = QueryShape::new(4, 2, 6).with_table_skew(1.0);
+        let cached = ServingMode::cached(
+            PlacementPolicy::FrequencyBalanced { replicate: 1 },
+            HostCacheSpec::with_capacity(ByteSize::kib(64)),
+        );
+        for (mode, process) in [
+            (FIFO, ArrivalProcess::Poisson),
+            (cached, ArrivalProcess::Poisson),
+            (cached, ArrivalProcess::Uniform),
+        ] {
+            let offered = [2.0e5, 9.0e5, 4.0e6];
+            let curve = qps_sweep_at(
+                &mut host_factory,
+                mode,
+                process,
+                shape,
+                1.0e6,
+                &offered,
+                12,
+                3,
+            )
+            .unwrap();
+            for (point, &qps) in curve.points.iter().zip(&offered) {
+                let cfg = ServingConfig {
+                    process,
+                    qps,
+                    queries: 12,
+                    shape,
+                    mode,
+                    coalescing: None,
+                    max_queue_depth: None,
+                    seed: 3,
+                };
+                let report = serve(host_factory().as_mut(), &cfg).unwrap();
+                let solo = SweepPoint {
+                    offered_qps: qps,
+                    utilization: qps / 1.0e6,
+                    achieved_qps: report.achieved_qps(),
+                    summary: report.summary(),
+                };
+                assert_eq!(format!("{point:?}"), format!("{solo:?}"), "{}", mode.name());
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,10 @@ pub struct TraceGenerator {
     table: TableId,
     spec: EmbeddingTableSpec,
     dist: IndexDistribution,
+    /// The Zipf sampler of `dist`, built once: its constants depend only
+    /// on the row count and the skew, and rebuilding it per draw costs
+    /// several `ln`/`exp` calls per index.
+    zipf: Option<Zipf>,
     rng: DetRng,
     /// Multiplier of the rank→row permutation (odd, coprime with `rows`).
     perm_mult: u64,
@@ -68,10 +72,17 @@ impl TraceGenerator {
         dist: IndexDistribution,
         seed: u64,
     ) -> Self {
+        let zipf = match dist {
+            IndexDistribution::Uniform => None,
+            IndexDistribution::Zipf { s } => {
+                Some(Zipf::new(spec.rows, s).expect("valid Zipf parameters"))
+            }
+        };
         Self {
             table,
             spec,
             dist,
+            zipf,
             rng: DetRng::seed(seed ^ (u32::from(table) as u64) << 32),
             perm_mult: PERM_PRIME,
             reuse_p: 0.0,
@@ -123,10 +134,9 @@ impl TraceGenerator {
             let i = self.rng.below(self.history.len() as u64) as usize;
             return self.history[i];
         }
-        let rank = match self.dist {
-            IndexDistribution::Uniform => self.rng.below(self.spec.rows),
-            IndexDistribution::Zipf { s } => {
-                let z = Zipf::new(self.spec.rows, s).expect("valid Zipf parameters");
+        let rank = match &self.zipf {
+            None => self.rng.below(self.spec.rows),
+            Some(z) => {
                 let sample = z.sample(&mut self.rng) as u64;
                 sample.clamp(1, self.spec.rows) - 1
             }
@@ -187,6 +197,26 @@ mod tests {
             7,
         );
         assert_eq!(a.flat(100), b.flat(100));
+    }
+
+    #[test]
+    fn cached_zipf_matches_a_sampler_built_per_draw() {
+        // The original draw loop rebuilt `Zipf::new` for every index;
+        // the generator now builds it once. Same rng, same stream.
+        for s in [0.9, 1.2] {
+            let table = TableId::new(3);
+            let seed = 17;
+            let mut g = TraceGenerator::new(table, spec(), IndexDistribution::Zipf { s }, seed);
+            let mut rng = DetRng::seed(seed ^ (u32::from(table) as u64) << 32);
+            let reference: Vec<u64> = (0..10_000)
+                .map(|_| {
+                    let z = Zipf::new(spec().rows, s).unwrap();
+                    let rank = (z.sample(&mut rng) as u64).clamp(1, spec().rows) - 1;
+                    g.rank_to_row(rank)
+                })
+                .collect();
+            assert_eq!(g.flat(10_000), reference, "s = {s}");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * identifier newtypes ([`TableId`], [`RankId`], ...),
 //! * byte-size constants and helpers ([`units`]),
 //! * a deterministic seeded RNG ([`rng::DetRng`]) used by all stochastic
-//!   components so that every experiment is reproducible, and
+//!   components so that every experiment is reproducible,
+//! * a fixed hasher for per-lookup sets of simulator-derived ids
+//!   ([`hash::IdHashSet`]), and
 //! * the common [`ConfigError`] type returned by constructors that validate
 //!   their configuration.
 //!
@@ -23,6 +25,7 @@
 
 pub mod addr;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod rng;
 pub mod units;

@@ -3,7 +3,8 @@
 //! The absolute numbers cannot match the authors' testbed exactly (our
 //! substrate is an independent simulator and the production traces are
 //! synthetic substitutes), so each claim is asserted as a band around the
-//! published value. `EXPERIMENTS.md` records the exact measurements.
+//! published value. The exact measurements are the committed experiment
+//! outputs under `goldens/` (see the README figure map).
 
 use recnmp::energy::{energy_saving, host_energy, nmp_energy, NmpEnergyParams};
 use recnmp::RecNmpConfig;
