@@ -20,15 +20,17 @@
 //! * [`SloPolicy`] — admission control (reject when the estimated queue
 //!   delay already exceeds the deadline) and deadline shedding (drop a
 //!   query whose actual service start would land past the deadline);
-//! * [`ResilienceConfig`] — the bundle the resilient fleet scheduler
+//! * [`ResilienceConfig`] — the bundle the fleet scheduler
 //!   ([`serve_fleet_resilient`](super::fleet::serve_fleet_resilient))
 //!   consumes, including the failover re-dispatch penalty and the EWMA
 //!   health-tracking knobs.
 //!
-//! An all-zero plan ([`FaultPlan::none`]) with the default policies is a
-//! strict no-op: the resilient scheduler then reproduces the plain
-//! [`serve_fleet`](super::fleet::serve_fleet) completion schedule
-//! byte-for-byte (pinned by `resilience_determinism`).
+//! [`ResilienceConfig::zero`] switches every one of these off: no
+//! faults, no retry deadline, no hedging, no SLO guard, and no node ever
+//! classified degraded. It is what fault-free
+//! [`serve_fleet`](super::fleet::serve_fleet) runs under; the
+//! `resilience_determinism` tests check that such a run reports no
+//! failover, hedge, retry or dropped query.
 //!
 //! # Examples
 //!
@@ -370,9 +372,11 @@ pub struct ResilienceConfig {
 
 impl ResilienceConfig {
     /// Resilience around `faults` with the reference reaction policies:
-    /// no retry deadline, no hedging, no SLO — observation-only health
-    /// tracking plus crash failover. With a zero plan this is a strict
-    /// no-op configuration.
+    /// no retry deadline, no hedging, no SLO — health tracking plus
+    /// crash failover. Even with a zero plan the health tracker stays
+    /// live: a node whose observed service runs `degraded_after` times
+    /// the fleet median is flagged degraded and its traffic fails over.
+    /// [`zero`](Self::zero) is the fully inert configuration.
     pub fn new(faults: FaultPlan) -> Self {
         Self {
             faults,
@@ -385,10 +389,14 @@ impl ResilienceConfig {
         }
     }
 
-    /// The all-zero configuration: [`FaultPlan::none`] and no-op
-    /// policies.
+    /// The inert configuration: [`FaultPlan::none`], no-op policies, and
+    /// an infinite `degraded_after`, so no node is ever classified
+    /// degraded and no traffic fails over.
     pub fn zero() -> Self {
-        Self::new(FaultPlan::none())
+        Self {
+            degraded_after: f64::INFINITY,
+            ..Self::new(FaultPlan::none())
+        }
     }
 
     /// Sets the retry discipline.
@@ -651,5 +659,10 @@ mod tests {
         assert!(r.faults.is_zero());
         assert_eq!(r.retry, RetryPolicy::none());
         assert!(r.hedge.is_none() && r.slo.is_none());
+        // No observed service, however skewed, marks a node degraded.
+        let mut h = HealthTracker::new(2, r.ewma_alpha, r.degraded_after);
+        h.observe(0, 1, 10);
+        h.observe(1, u64::MAX, 1);
+        assert_eq!(h.health(1), NodeHealth::Healthy);
     }
 }

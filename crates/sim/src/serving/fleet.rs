@@ -24,6 +24,12 @@
 //!   the bare cluster under sharded serving — the invariant the
 //!   `serve_sweep --fleet` smoke and `fleet_determinism` tests pin.
 //!
+//! One scheduler serves every fleet run. Injected faults and the
+//! reactions to them (failover, retry, hedging, the SLO guard; see
+//! [`faults`](super::faults)) are parts of that scheduler which
+//! [`ResilienceConfig::zero`] switches off: [`serve_fleet`] is
+//! [`serve_fleet_resilient`] under that configuration.
+//!
 //! Execution nests the two parallelism levels on the shared
 //! deterministic worker pool: each query spawns one task per involved
 //! node, and each node task fans its per-channel shards out as nested
@@ -63,6 +69,7 @@ use super::faults::{
     SloPolicy,
 };
 use super::policy::GatherCost;
+use super::scheduler::scatter;
 use super::sweep::{reference_cluster4, SweepPoint, SweepSpec};
 
 /// A factory producing fresh (cold) fleets, so every sweep point starts
@@ -322,11 +329,10 @@ pub struct FleetReport {
     pub node_queries: Vec<u64>,
     /// Tables the node-level plan replicated across nodes.
     pub replicated_tables: usize,
-    /// What became of each offered query, in arrival order. Plain
-    /// (fault-free) serving completes everything; under
-    /// [`serve_fleet_resilient`] queries may be rejected, shed or
-    /// failed, and their `completions`/`latencies` entries are zeroed
-    /// relative to arrival.
+    /// What became of each offered query, in arrival order. Fault-free
+    /// serving ([`serve_fleet`]) completes everything; under faults or
+    /// an SLO guard queries may be rejected, shed or failed, and their
+    /// `completions`/`latencies` entries are zeroed relative to arrival.
     pub outcomes: Vec<QueryOutcome>,
     /// The per-query failures behind every
     /// [`QueryOutcome::Failed`] entry, aggregated instead of aborting
@@ -436,7 +442,8 @@ impl FleetReport {
 }
 
 /// Serves `cfg.queries` open-loop queries on `fleet` and accounts
-/// per-query latency in simulated time.
+/// per-query latency in simulated time: the fault-free case of
+/// [`serve_fleet_resilient`], run under [`ResilienceConfig::zero`].
 ///
 /// Arrival schedule and query streams derive from `cfg.seed` exactly as
 /// in single-node [`serve`](super::scheduler::serve), so a 1-node fleet
@@ -448,211 +455,20 @@ impl FleetReport {
 /// or [`SimError::Config`] when placement cannot fit the workload's
 /// tables at either level.
 pub fn serve_fleet(fleet: &mut Fleet, cfg: &FleetConfig) -> Result<FleetReport, SimError> {
-    let arrivals = cfg.process.seeded_arrivals(cfg.qps, cfg.queries, cfg.seed);
-    let queries = QueryStream::new(cfg.shape, cfg.seed).take_queries(cfg.queries);
-    serve_fleet_arrivals(fleet, cfg, &arrivals, &queries)
-}
-
-/// One node's scattered work: per-channel shards sorted by channel.
-type Shards = Vec<(usize, SlsTrace)>;
-
-/// The fleet scheduler core, shared by [`serve_fleet`] and the
-/// saturation probe: routes each query's batches to nodes, scatters
-/// within each node, simulates the touched nodes in parallel, and
-/// accounts completion times.
-pub(super) fn serve_fleet_arrivals(
-    fleet: &mut Fleet,
-    cfg: &FleetConfig,
-    arrivals: &[Cycle],
-    queries: &[SlsTrace],
-) -> Result<FleetReport, SimError> {
-    assert_eq!(arrivals.len(), queries.len(), "one arrival per query");
-    let nodes = fleet.nodes.len();
-    let channels = fleet.channels_per_node;
-    let dispatch = cfg.dispatch;
-
-    // Both placement levels are built once per run from the query
-    // stream's table profile; every query then consults them.
-    let usage = TableUsage::from_traces(queries);
-    let plan = FleetPlacementPlan::build(
-        nodes,
-        channels,
-        dispatch.channel_capacity.map(ByteSize::get),
-        &usage,
-        dispatch.node_policy,
-        dispatch.within_policy,
-    )
-    .map_err(SimError::Config)?;
-
-    // Earliest cycle each (node, channel) is free.
-    let mut free_at: Vec<Vec<Cycle>> = vec![vec![0; channels]; nodes];
-    // For LeastOutstanding: (completion, lookups) of work in flight per
-    // node — the same size-aware bookkeeping the single-node scheduler
-    // keeps per channel, lifted to node granularity.
-    let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); nodes];
-    let mut completions = vec![0 as Cycle; queries.len()];
-    let mut node_queries = vec![0u64; nodes];
-    let mut merged = RunReport::for_system(fleet.name.clone());
-
-    for (q_idx, query) in queries.iter().enumerate() {
-        let dispatch_at = arrivals[q_idx];
-
-        // Level 1: route each batch to one node replica of its table.
-        let mut per_node_batches: Vec<SlsTrace> = vec![SlsTrace::default(); nodes];
-        for batch in query.batches.iter().cloned() {
-            let table = batch.table();
-            let reps = plan.node_replicas(table);
-            let node = match dispatch.router {
-                RouterPolicy::HashAffinity => *reps
-                    .get(q_idx % reps.len().max(1))
-                    .unwrap_or_else(|| panic!("table {table} missing from fleet plan")),
-                RouterPolicy::LeastOutstanding => *reps
-                    .iter()
-                    .min_by_key(|&&n| {
-                        // Dispatch times are non-decreasing, so drained
-                        // work can never count again.
-                        in_flight[n].retain(|(done, _)| *done > dispatch_at);
-                        let backlog: u64 = in_flight[n].iter().map(|(_, l)| l).sum();
-                        (backlog, n)
-                    })
-                    .unwrap_or_else(|| panic!("table {table} missing from fleet plan")),
-                RouterPolicy::PlacementScatter => *reps
-                    .iter()
-                    .min_by_key(|&&n| {
-                        let earliest = plan
-                            .per_node(n)
-                            .replicas(table)
-                            .iter()
-                            .map(|&c| free_at[n][c])
-                            .min()
-                            .unwrap_or(Cycle::MAX);
-                        (earliest, n)
-                    })
-                    .unwrap_or_else(|| panic!("table {table} missing from fleet plan")),
-            };
-            per_node_batches[node].batches.push(batch);
-        }
-
-        // Level 2: within each touched node, assign batches to the
-        // least-backlogged owning channel — byte-for-byte the
-        // single-node sharded scatter.
-        let lookups = query.total_lookups();
-        let mut scattered = 0u64;
-        // (node, per-channel shards sorted by channel, result bytes).
-        let mut node_jobs: Vec<(usize, Shards, u64)> = Vec::new();
-        for (n, node_trace) in per_node_batches.into_iter().enumerate() {
-            if node_trace.batches.is_empty() {
-                continue;
-            }
-            node_queries[n] += 1;
-            let mut by_channel: Vec<SlsTrace> = vec![SlsTrace::default(); channels];
-            let mut result_bytes = 0u64;
-            for batch in node_trace.batches {
-                let table = batch.table();
-                let replicas = plan.per_node(n).replicas(table);
-                let &channel = replicas
-                    .iter()
-                    .min_by_key(|&&c| (free_at[n][c], c))
-                    .unwrap_or_else(|| panic!("table {table} missing from node {n} plan"));
-                result_bytes += batch.batch.output_bytes();
-                by_channel[channel].batches.push(batch);
-            }
-            let shards: Shards = by_channel
-                .into_iter()
-                .enumerate()
-                .filter(|(_, s)| !s.batches.is_empty())
-                .collect();
-            node_jobs.push((n, shards, result_bytes));
-        }
-
-        // Simulate every touched node as one pool task; each node fans
-        // its shards out as nested tasks (try_run_shards), and reports
-        // come back in submission order regardless of completion order.
-        let reports: Vec<Vec<RunReport>> = {
-            let mut pending = node_jobs.iter().peekable();
-            let mut paired: Vec<(&mut dyn SlsBackend, &Shards)> = Vec::new();
-            for (n, node) in fleet.nodes.iter_mut().enumerate() {
-                if pending.peek().is_some_and(|(jn, _, _)| *jn == n) {
-                    let (_, shards, _) = pending.next().unwrap();
-                    paired.push((node.as_mut(), shards));
-                }
-            }
-            let tasks: Vec<_> = paired
-                .into_iter()
-                .map(|(node, shards)| move || node.try_run_shards(shards))
-                .collect();
-            recnmp_exec::current().run_vec(tasks)?
-        };
-
-        // Queueing arithmetic, serially in (node, channel) order: each
-        // shard queues on its channel, each node completes at its
-        // slowest shard plus the per-node gather, and the query
-        // completes at its slowest node plus the network gather (waived
-        // when the router is co-located with a single node).
-        let mut slowest_node = dispatch_at;
-        let mut total_result_bytes = 0u64;
-        for ((n, shards, result_bytes), node_reports) in node_jobs.iter().zip(reports) {
-            let mut node_slowest = dispatch_at;
-            let mut fanout: Cycle = 0;
-            let mut node_lookups = 0u64;
-            for ((channel, shard), report) in shards.iter().zip(node_reports) {
-                scattered += shard.total_lookups();
-                node_lookups += shard.total_lookups();
-                let start = dispatch_at.max(free_at[*n][*channel]);
-                let complete = start + report.total_cycles;
-                free_at[*n][*channel] = complete;
-                node_slowest = node_slowest.max(complete);
-                fanout += 1;
-                merged.absorb_parallel(report);
-            }
-            let node_complete =
-                node_slowest + dispatch.gather.base + dispatch.gather.per_shard * fanout;
-            if dispatch.router == RouterPolicy::LeastOutstanding {
-                in_flight[*n].push((node_complete, node_lookups));
-            }
-            slowest_node = slowest_node.max(node_complete);
-            total_result_bytes += result_bytes;
-        }
-        debug_assert_eq!(scattered, lookups, "fleet scatter must conserve lookups");
-
-        completions[q_idx] = if nodes > 1 {
-            slowest_node + dispatch.network.cost_of(total_result_bytes)
-        } else {
-            slowest_node
-        };
-    }
-
-    let latencies: Vec<Cycle> = completions
-        .iter()
-        .zip(arrivals)
-        .map(|(&done, &arr)| done - arr)
-        .collect();
-    merged.total_cycles = completions.iter().copied().max().unwrap_or(0);
-    merged.query_completions = completions.clone();
-
-    Ok(FleetReport {
-        system: fleet.name.clone(),
-        router: dispatch.router,
-        offered_qps: cfg.qps,
-        arrivals: arrivals.to_vec(),
-        completions,
-        latencies,
-        node_queries,
-        replicated_tables: plan.replicated_tables(),
-        outcomes: vec![QueryOutcome::Completed; queries.len()],
-        failures: Vec::new(),
-        report: merged,
-    })
+    serve_fleet_resilient(fleet, cfg, &ResilienceConfig::zero())
 }
 
 /// Serves `cfg.queries` open-loop queries on `fleet` under a fault
 /// schedule and resilience policies, aggregating per-query failures
 /// into the report instead of aborting the run.
 ///
+/// Every fleet run goes through this scheduler: it routes each query's
+/// batches to node replicas under the [`RouterPolicy`], scatters them
+/// within each node onto the least-backlogged owning channel, simulates
+/// the touched nodes in parallel, and queues each shard on its channel.
 /// Arrival schedule and query streams derive from `cfg.seed` exactly as
-/// in [`serve_fleet`]; with [`ResilienceConfig::zero`] the completion
-/// schedule is byte-identical to the plain scheduler (pinned by
-/// `resilience_determinism`). The resilience semantics on top:
+/// in [`serve_fleet`]. The resilience semantics on top, all inert under
+/// [`ResilienceConfig::zero`]:
 ///
 /// * **Health-aware failover** — the router consults a
 ///   [`HealthTracker`]: a batch whose preferred replica is crashed (or
@@ -678,7 +494,7 @@ pub(super) fn serve_fleet_arrivals(
 ///   tables; the duplicate dispatches at `dispatch + delay`, both
 ///   copies pay their channel occupancy, and the earlier completion
 ///   wins.
-/// * **SLO guard** — with an [`SloPolicy`](super::faults::SloPolicy), a
+/// * **SLO guard** — with an [`SloPolicy`], a
 ///   query whose *optimistic* estimated queue delay (earliest free
 ///   replica channel per batch) already exceeds the deadline is
 ///   rejected at admission; one whose *actual* routed service start
@@ -698,12 +514,12 @@ pub fn serve_fleet_resilient(
 ) -> Result<FleetReport, SimError> {
     let arrivals = cfg.process.seeded_arrivals(cfg.qps, cfg.queries, cfg.seed);
     let queries = QueryStream::new(cfg.shape, cfg.seed).take_queries(cfg.queries);
-    serve_fleet_resilient_arrivals(fleet, cfg, res, &arrivals, &queries)
+    serve_fleet_arrivals_under(fleet, cfg, res, &arrivals, &queries)
 }
 
 /// One replica pick under `router`, restricted to the candidate `pool`
-/// (non-empty): the same arithmetic the plain scheduler applies to the
-/// full replica set.
+/// (non-empty): the full replica set on the first pick, the live set on
+/// a failover.
 #[allow(clippy::too_many_arguments)]
 fn pick_replica(
     router: RouterPolicy,
@@ -720,6 +536,8 @@ fn pick_replica(
         RouterPolicy::LeastOutstanding => *pool
             .iter()
             .min_by_key(|&&n| {
+                // Dispatch times are non-decreasing, so drained work can
+                // never count again.
                 in_flight[n].retain(|(done, _)| *done > dispatch_at);
                 let backlog: u64 = in_flight[n].iter().map(|(_, l)| l).sum();
                 (backlog, n)
@@ -753,7 +571,7 @@ fn pick_replica(
 fn run_shard_attempts(
     node: usize,
     first_channel: usize,
-    shard_tables: &[recnmp_types::TableId],
+    shard: &SlsTrace,
     base_service: Cycle,
     dispatch: Cycle,
     free_at: &mut [Vec<Cycle>],
@@ -796,33 +614,44 @@ fn run_shard_attempts(
         // Re-dispatch onto the least-backlogged channel owning every
         // table of this shard (often the same channel — transient
         // windows pass; degraded channels lose to healthier replicas).
-        if let Some(next) = retry_channel(node, shard_tables, plan, free_at) {
+        let owners = common_replicas(
+            shard
+                .batches
+                .iter()
+                .map(|b| plan.per_node(node).replicas(b.table())),
+        );
+        if let Some(next) = owners.into_iter().min_by_key(|&c| (free_at[node][c], c)) {
             channel = next;
         }
     }
     unreachable!("attempt loop returns before exhausting its range");
 }
 
-/// The least-backlogged channel of `node` owning every table in
-/// `tables`; `None` when no single channel holds them all.
-fn retry_channel(
-    node: usize,
-    tables: &[recnmp_types::TableId],
-    plan: &FleetPlacementPlan,
-    free_at: &[Vec<Cycle>],
-) -> Option<usize> {
-    let mut common: Option<Vec<usize>> = None;
-    for &t in tables {
-        let reps = plan.per_node(node).replicas(t);
-        common = Some(match common {
-            None => reps.to_vec(),
-            Some(prev) => prev.into_iter().filter(|c| reps.contains(c)).collect(),
-        });
-    }
-    common?.into_iter().min_by_key(|&c| (free_at[node][c], c))
+/// The members common to every replica set in `sets`, in the first
+/// set's order; empty when there are no sets.
+fn common_replicas<'a>(mut sets: impl Iterator<Item = &'a [usize]>) -> Vec<usize> {
+    let first = sets.next().map(<[usize]>::to_vec).unwrap_or_default();
+    sets.fold(first, |common, set| {
+        common.into_iter().filter(|r| set.contains(r)).collect()
+    })
 }
 
-/// Nearest-rank quantile of an unsorted latency window.
+/// The healthy members of `candidates`, or all of them when none is
+/// healthy: the pool both failover and hedging pick from.
+fn prefer_healthy(candidates: Vec<usize>, health: &HealthTracker) -> Vec<usize> {
+    let healthy: Vec<usize> = candidates
+        .iter()
+        .copied()
+        .filter(|&n| health.health(n) == NodeHealth::Healthy)
+        .collect();
+    if healthy.is_empty() {
+        candidates
+    } else {
+        healthy
+    }
+}
+
+/// Nearest-rank quantile of an unsorted, non-empty latency window.
 fn window_quantile(window: &[Cycle], q: f64) -> Cycle {
     let mut sorted = window.to_vec();
     sorted.sort_unstable();
@@ -830,11 +659,10 @@ fn window_quantile(window: &[Cycle], q: f64) -> Cycle {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// The resilient fleet scheduler core: the plain queueing arithmetic of
-/// [`serve_fleet_arrivals`] plus fault injection, health-aware failover,
-/// retry/hedging and the SLO guard. See [`serve_fleet_resilient`] for
-/// the semantics.
-pub(super) fn serve_fleet_resilient_arrivals(
+/// The fleet scheduler core behind [`serve_fleet_resilient`],
+/// [`serve_fleet`] and the saturation probe, over explicit arrivals and
+/// queries. See [`serve_fleet_resilient`] for the semantics.
+fn serve_fleet_arrivals_under(
     fleet: &mut Fleet,
     cfg: &FleetConfig,
     res: &ResilienceConfig,
@@ -846,6 +674,8 @@ pub(super) fn serve_fleet_resilient_arrivals(
     let channels = fleet.channels_per_node;
     let dispatch = cfg.dispatch;
 
+    // Both placement levels are built once per run from the query
+    // stream's table profile; every query then consults them.
     let usage = TableUsage::from_traces(queries);
     let plan = FleetPlacementPlan::build(
         nodes,
@@ -857,27 +687,33 @@ pub(super) fn serve_fleet_resilient_arrivals(
     )
     .map_err(SimError::Config)?;
 
+    // Earliest cycle each (node, channel) is free.
     let mut free_at: Vec<Vec<Cycle>> = vec![vec![0; channels]; nodes];
+    // For LeastOutstanding: (completion, lookups) of work in flight per
+    // node — the same size-aware bookkeeping the single-node scheduler
+    // keeps per channel, lifted to node granularity.
     let mut in_flight: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); nodes];
-    let mut completions = vec![0 as Cycle; queries.len()];
+    // A query that never completes keeps its arrival as its completion
+    // (zero latency); the outcome counters are tallied after the loop.
+    let mut completions = arrivals.to_vec();
     let mut node_queries = vec![0u64; nodes];
     let mut merged = RunReport::for_system(fleet.name.clone());
     let mut outcomes = vec![QueryOutcome::Completed; queries.len()];
     let mut failures: Vec<SimError> = Vec::new();
     let mut health = HealthTracker::new(nodes, res.ewma_alpha, res.degraded_after);
-    // Recently observed node-job latencies the hedge delay anchors at.
+    // Recently observed node-job latencies the hedge delay anchors at
+    // (kept only when hedging is on).
     let mut hedge_window: Vec<Cycle> = Vec::new();
 
     'queries: for (q_idx, query) in queries.iter().enumerate() {
-        let arrival = arrivals[q_idx];
-        let dispatch_at = arrival;
+        let dispatch_at = arrivals[q_idx];
         // Cycles this query pays for discovering a fresh crash (at most
         // one detection per query).
         let mut penalty: Cycle = 0;
 
-        // Level 1: route each batch to a *live* node replica, the plain
-        // router arithmetic first and the failover path only when the
-        // preferred replica is crashed or degraded.
+        // Level 1: route each batch to a *live* node replica, the router
+        // arithmetic first and the failover path only when the preferred
+        // replica is crashed or degraded.
         let mut per_node_batches: Vec<SlsTrace> = vec![SlsTrace::default(); nodes];
         for batch in query.batches.iter().cloned() {
             let table = batch.table();
@@ -912,16 +748,9 @@ pub(super) fn serve_fleet_resilient_arrivals(
                         query: q_idx,
                         table,
                     });
-                    merged.queries_failed += 1;
-                    completions[q_idx] = arrival;
                     continue 'queries;
                 }
-                let healthy: Vec<usize> = alive
-                    .iter()
-                    .copied()
-                    .filter(|&n| health.health(n) == NodeHealth::Healthy)
-                    .collect();
-                let pool = if healthy.is_empty() { &alive } else { &healthy };
+                let pool = &prefer_healthy(alive, &health);
                 if !preferred_down && pool.contains(&preferred) {
                     preferred
                 } else {
@@ -964,42 +793,20 @@ pub(super) fn serve_fleet_resilient_arrivals(
                     .unwrap_or(0);
                 est_start = est_start.max(best.max(dispatch_eff));
             }
-            if est_start.saturating_sub(arrival) > slo.deadline {
+            if est_start.saturating_sub(dispatch_at) > slo.deadline {
                 outcomes[q_idx] = QueryOutcome::Rejected;
-                merged.queries_rejected += 1;
-                completions[q_idx] = arrival;
                 continue 'queries;
             }
         }
 
-        // Level 2: within each touched node, assign batches to the
-        // least-backlogged owning channel (the plain scatter).
-        let lookups = query.total_lookups();
-        let mut scattered = 0u64;
-        let mut node_jobs: Vec<(usize, Shards, u64)> = Vec::new();
-        for (n, node_trace) in per_node_batches.into_iter().enumerate() {
-            if node_trace.batches.is_empty() {
-                continue;
-            }
-            let mut by_channel: Vec<SlsTrace> = vec![SlsTrace::default(); channels];
-            let mut result_bytes = 0u64;
-            for batch in node_trace.batches {
-                let table = batch.table();
-                let replicas = plan.per_node(n).replicas(table);
-                let &channel = replicas
-                    .iter()
-                    .min_by_key(|&&c| (free_at[n][c], c))
-                    .unwrap_or_else(|| panic!("table {table} missing from node {n} plan"));
-                result_bytes += batch.batch.output_bytes();
-                by_channel[channel].batches.push(batch);
-            }
-            let shards: Shards = by_channel
-                .into_iter()
-                .enumerate()
-                .filter(|(_, s)| !s.batches.is_empty())
-                .collect();
-            node_jobs.push((n, shards, result_bytes));
-        }
+        // Level 2: within each touched node, the single-node sharded
+        // scatter onto the least-backlogged owning channel.
+        let node_jobs: Vec<_> = per_node_batches
+            .into_iter()
+            .enumerate()
+            .filter(|(_, trace)| !trace.batches.is_empty())
+            .map(|(n, trace)| (n, scatter(plan.per_node(n), &free_at[n], trace.batches)))
+            .collect();
 
         // SLO shedding: the *actual* routed service start. A query whose
         // slowest shard would begin past the deadline is dropped at
@@ -1007,63 +814,58 @@ pub(super) fn serve_fleet_resilient_arrivals(
         if let Some(slo) = res.slo {
             let actual_start = node_jobs
                 .iter()
-                .flat_map(|(n, shards, _)| {
+                .flat_map(|(n, shards)| {
                     shards
                         .iter()
                         .map(|(c, _)| dispatch_eff.max(free_at[*n][*c]))
                 })
                 .max()
                 .unwrap_or(dispatch_eff);
-            if actual_start.saturating_sub(arrival) > slo.deadline {
+            if actual_start.saturating_sub(dispatch_at) > slo.deadline {
                 outcomes[q_idx] = QueryOutcome::Shed;
-                merged.queries_shed += 1;
-                completions[q_idx] = arrival;
                 continue 'queries;
             }
         }
 
-        for (n, _, _) in &node_jobs {
+        for (n, _) in &node_jobs {
             node_queries[*n] += 1;
         }
 
-        // Simulate every touched node as one pool task, exactly like the
-        // plain scheduler (reports return in submission order).
-        let reports: Vec<Vec<RunReport>> = {
-            let mut pending = node_jobs.iter().peekable();
-            let mut paired: Vec<(&mut dyn SlsBackend, &Shards)> = Vec::new();
-            for (n, node) in fleet.nodes.iter_mut().enumerate() {
-                if pending.peek().is_some_and(|(jn, _, _)| *jn == n) {
-                    let (_, shards, _) = pending.next().unwrap();
-                    paired.push((node.as_mut(), shards));
-                }
-            }
-            let tasks: Vec<_> = paired
-                .into_iter()
-                .map(|(node, shards)| move || node.try_run_shards(shards))
-                .collect();
-            recnmp_exec::current().run_vec(tasks)?
-        };
+        // Simulate every touched node as one pool task; each node fans
+        // its shards out as nested tasks (try_run_shards), and reports
+        // come back in submission order regardless of completion order.
+        let mut backends = fleet.nodes.iter_mut().enumerate();
+        let tasks: Vec<_> = node_jobs
+            .iter()
+            .map(|(n, shards)| {
+                // Node jobs are in node order, so one pass finds each.
+                let (_, node) = backends
+                    .find(|(i, _)| i == n)
+                    .expect("node jobs in node order");
+                move || node.try_run_shards(shards)
+            })
+            .collect();
+        let reports = recnmp_exec::current().run_vec(tasks)?;
 
-        // Queueing arithmetic with the resilience layer folded in.
+        // Queueing arithmetic, serially in (node, channel) order: each
+        // shard queues on its channel, each node completes at its
+        // slowest shard plus the per-node gather, and the query
+        // completes at its slowest node plus the network gather.
         let mut slowest_node = dispatch_eff;
-        let mut total_result_bytes = 0u64;
+        let mut scattered = 0u64;
         let mut q_failed: Option<SimError> = None;
-        for ((n, shards, result_bytes), node_reports) in node_jobs.iter().zip(reports) {
+        for ((n, shards), node_reports) in node_jobs.iter().zip(reports) {
             let mut node_slowest = dispatch_eff;
             let mut node_service: Cycle = 0;
-            let mut fanout: Cycle = 0;
             let mut node_lookups = 0u64;
             for ((channel, shard), report) in shards.iter().zip(node_reports) {
-                scattered += shard.total_lookups();
                 node_lookups += shard.total_lookups();
                 let base = report.total_cycles;
                 merged.absorb_parallel(report);
-                let shard_tables: Vec<recnmp_types::TableId> =
-                    shard.batches.iter().map(|b| b.table()).collect();
                 match run_shard_attempts(
                     *n,
                     *channel,
-                    &shard_tables,
+                    shard,
                     base,
                     dispatch_eff,
                     &mut free_at,
@@ -1083,14 +885,14 @@ pub(super) fn serve_fleet_resilient_arrivals(
                         });
                     }
                 }
-                fanout += 1;
             }
+            scattered += node_lookups;
 
             // Hedge a straggler node job onto a surviving replica
             // holding all its tables; first completion wins, both pay
             // their channel occupancy.
             if let (Some(hedge), None) = (res.hedge, &q_failed) {
-                if hedge_window.len() >= hedge.min_samples {
+                if !hedge_window.is_empty() && hedge_window.len() >= hedge.min_samples {
                     let delay = window_quantile(&hedge_window, hedge.quantile);
                     if node_slowest.saturating_sub(dispatch_eff) > delay && node_service > 0 {
                         let job_tables: Vec<recnmp_types::TableId> = shards
@@ -1123,41 +925,45 @@ pub(super) fn serve_fleet_resilient_arrivals(
 
             if node_service > 0 {
                 health.observe(*n, node_service, node_lookups);
-                hedge_window.push(node_slowest.saturating_sub(dispatch_eff));
                 if let Some(hedge) = res.hedge {
+                    hedge_window.push(node_slowest.saturating_sub(dispatch_eff));
                     if hedge_window.len() > hedge.window {
                         hedge_window.remove(0);
                     }
-                } else if hedge_window.len() > 64 {
-                    hedge_window.remove(0);
                 }
             }
 
-            let node_complete =
-                node_slowest + dispatch.gather.base + dispatch.gather.per_shard * fanout;
+            let node_complete = node_slowest
+                + dispatch.gather.base
+                + dispatch.gather.per_shard * shards.len() as Cycle;
             if dispatch.router == RouterPolicy::LeastOutstanding {
                 in_flight[*n].push((node_complete, node_lookups));
             }
             slowest_node = slowest_node.max(node_complete);
-            total_result_bytes += result_bytes;
         }
-        debug_assert_eq!(scattered, lookups, "fleet scatter must conserve lookups");
+        debug_assert_eq!(
+            scattered,
+            query.total_lookups(),
+            "fleet scatter must conserve lookups"
+        );
 
         if let Some(err) = q_failed {
             outcomes[q_idx] = QueryOutcome::Failed;
             failures.push(err);
-            merged.queries_failed += 1;
-            completions[q_idx] = arrival;
-            continue 'queries;
-        }
-
-        completions[q_idx] = if nodes > 1 {
-            slowest_node + dispatch.network.cost_of(total_result_bytes)
+        } else if nodes > 1 {
+            let result_bytes = query.batches.iter().map(|b| b.batch.output_bytes()).sum();
+            completions[q_idx] = slowest_node + dispatch.network.cost_of(result_bytes);
         } else {
-            slowest_node
-        };
+            // The router is co-located with a single node: no network
+            // gather.
+            completions[q_idx] = slowest_node;
+        }
     }
 
+    let count = |want: QueryOutcome| outcomes.iter().filter(|&&o| o == want).count() as u64;
+    merged.queries_rejected += count(QueryOutcome::Rejected);
+    merged.queries_shed += count(QueryOutcome::Shed);
+    merged.queries_failed += count(QueryOutcome::Failed);
     let latencies: Vec<Cycle> = completions
         .iter()
         .zip(arrivals)
@@ -1194,29 +1000,12 @@ fn hedge_target(
     free_at: &[Vec<Cycle>],
     health: &HealthTracker,
 ) -> Option<(usize, Vec<usize>)> {
-    let mut common: Option<Vec<usize>> = None;
-    for &t in job_tables {
-        let reps = plan.node_replicas(t);
-        common = Some(match common {
-            None => reps.to_vec(),
-            Some(prev) => prev.into_iter().filter(|n| reps.contains(n)).collect(),
-        });
-    }
-    let candidates: Vec<usize> = common?
+    let candidates: Vec<usize> = common_replicas(job_tables.iter().map(|&t| plan.node_replicas(t)))
         .into_iter()
         .filter(|&n| n != primary && !res.faults.crashed(n, dispatch_at))
         .collect();
-    let healthy: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&n| health.health(n) == NodeHealth::Healthy)
-        .collect();
-    let pool = if healthy.is_empty() {
-        candidates
-    } else {
-        healthy
-    };
-    pool.into_iter()
+    prefer_healthy(candidates, health)
+        .into_iter()
         .map(|n| {
             let chans: std::collections::BTreeSet<usize> = job_tables
                 .iter()
@@ -1290,7 +1079,13 @@ pub fn fleet_saturation(
     };
     let arrivals = vec![0; queries];
     let trace_queries = QueryStream::new(shape, seed).take_queries(queries);
-    let report = serve_fleet_arrivals(&mut fleet, &cfg, &arrivals, &trace_queries)?;
+    let report = serve_fleet_arrivals_under(
+        &mut fleet,
+        &cfg,
+        &ResilienceConfig::zero(),
+        &arrivals,
+        &trace_queries,
+    )?;
     Ok(report.achieved_qps())
 }
 
@@ -1639,9 +1434,6 @@ pub fn resilience_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::policy::{ServingMode, ShardedDispatch};
-    use crate::serving::scheduler::serve;
-    use crate::serving::ServingConfig;
 
     fn quick_shape() -> QueryShape {
         QueryShape::new(8, 2, 6)
@@ -1690,45 +1482,6 @@ mod tests {
         // nodes served traffic.
         assert!(report.replicated_tables >= 1);
         assert!(report.node_queries.iter().all(|&q| q > 0));
-    }
-
-    #[test]
-    fn single_node_fleet_matches_bare_cluster() {
-        // The keystone invariant: a 1-node fleet is numerically the bare
-        // cluster under sharded serving — same arrivals, same placement,
-        // same channel queues, no network charge.
-        let dispatch = FleetDispatch::sharded();
-        let fleet_cfg = quick_cfg(1.0, 12, dispatch);
-        let mut fleet = Fleet::reference(1);
-        let fleet_report = serve_fleet(&mut fleet, &fleet_cfg).unwrap();
-
-        let mut cluster = reference_cluster4();
-        let cluster_cfg = ServingConfig {
-            process: fleet_cfg.process,
-            qps: fleet_cfg.qps,
-            queries: fleet_cfg.queries,
-            shape: fleet_cfg.shape,
-            mode: ServingMode::Sharded(ShardedDispatch {
-                placement: dispatch.within_policy,
-                gather: dispatch.gather,
-                channel_capacity: dispatch.channel_capacity,
-                host_cache: None,
-                prefetch: None,
-            }),
-            coalescing: None,
-            max_queue_depth: None,
-            seed: fleet_cfg.seed,
-        };
-        let cluster_report = serve(cluster.as_mut(), &cluster_cfg).unwrap();
-
-        assert_eq!(fleet_report.arrivals, cluster_report.arrivals);
-        assert_eq!(fleet_report.completions, cluster_report.completions);
-        assert_eq!(fleet_report.latencies, cluster_report.latencies);
-        assert_eq!(fleet_report.report.insts, cluster_report.report.insts);
-        assert_eq!(
-            fleet_report.report.total_cycles,
-            cluster_report.report.total_cycles
-        );
     }
 
     #[test]
@@ -1797,24 +1550,6 @@ mod tests {
         assert_eq!(report.report.queries_shed, count(QueryOutcome::Shed));
         assert_eq!(report.report.queries_failed, count(QueryOutcome::Failed));
         assert_eq!(report.failures.len() as u64, count(QueryOutcome::Failed));
-    }
-
-    #[test]
-    fn zero_resilience_matches_plain_fleet() {
-        // The keystone: an all-zero fault plan with inert policies must
-        // reproduce the plain scheduler byte for byte, for every router.
-        for router in RouterPolicy::ALL {
-            for dispatch in [FleetDispatch::replicated(1), FleetDispatch::sharded()] {
-                let dispatch = FleetDispatch { router, ..dispatch };
-                let cfg = quick_cfg(2.0, 10, dispatch);
-                let mut a = Fleet::reference(2);
-                let mut b = Fleet::reference(2);
-                let plain = serve_fleet(&mut a, &cfg).unwrap();
-                let res = serve_fleet_resilient(&mut b, &cfg, &ResilienceConfig::zero()).unwrap();
-                assert_eq!(plain, res, "router {}", router.name());
-                assert_eq!(res.availability(), 1.0);
-            }
-        }
     }
 
     #[test]
@@ -1924,6 +1659,31 @@ mod tests {
         );
         assert_eq!(r1.availability(), 1.0);
         assert_conserved(&r1);
+    }
+
+    #[test]
+    fn hedging_with_an_empty_latency_window_serves() {
+        use super::super::faults::{FaultPlan, HedgePolicy};
+        // No warm-up (`min_samples: 0`) means the first node job finds
+        // an empty window; a zero-size window stays empty all run. Both
+        // serve every query and never hedge off an empty window.
+        let faults = FaultPlan::none().with_degrade(0, 0, 0, u64::MAX, 16);
+        let cfg = quick_cfg(2.0, 24, FleetDispatch::replicated(64));
+        for (min_samples, window) in [(0, 32), (0, 0), (8, 0)] {
+            let hedge = HedgePolicy {
+                quantile: 0.5,
+                min_samples,
+                window,
+            };
+            let res = ResilienceConfig::new(faults.clone()).with_hedge(hedge);
+            let mut fleet = Fleet::reference(2);
+            let report = serve_fleet_resilient(&mut fleet, &cfg, &res).unwrap();
+            assert_eq!(report.availability(), 1.0, "{hedge:?}");
+            if window == 0 {
+                assert_eq!(report.report.hedges, 0, "{hedge:?}");
+            }
+            assert_conserved(&report);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   [`GatherCost`](super::policy::GatherCost) merge.
 
 use recnmp_backend::{
-    PlacementPlan, RunReport, SlsBackend, SlsTrace, TableUsage, TieredPlacementPlan,
+    PlacementPlan, RunReport, SlsBackend, SlsTrace, TableUsage, TieredPlacementPlan, TraceBatch,
 };
 use recnmp_types::units::{completions_to_qps, cycles_to_us};
 use recnmp_types::{ByteSize, ConfigError, Cycle, SimError, TableId};
@@ -573,13 +573,38 @@ fn prefetch_idle(
     }
 }
 
-/// Scatters one job across the channels owning its tables and gathers:
-/// each batch lands on the replica of its table with the least backlog
-/// (deterministic, ties to the lowest channel), each non-empty shard
-/// queues on its channel, and every member query completes at the
-/// slowest shard plus the host merge cost plus `host_cycles` (the
-/// host-cache charge for this job's absorbed lookups). Returns the
-/// job's completion cycle.
+/// Scatters `batches` across the channels owning their tables: each
+/// batch lands on the replica of its table with the least backlog
+/// (deterministic, ties to the lowest channel). Returns the non-empty
+/// `(channel, shard)` pairs in channel order. Single-node sharded
+/// serving and the fleet's within-node level both scatter through here.
+pub(super) fn scatter(
+    plan: &PlacementPlan,
+    free_at: &[Cycle],
+    batches: impl IntoIterator<Item = TraceBatch>,
+) -> Vec<(usize, SlsTrace)> {
+    let mut shards: Vec<SlsTrace> = vec![SlsTrace::default(); free_at.len()];
+    for batch in batches {
+        let table = batch.table();
+        let &channel = plan
+            .replicas(table)
+            .iter()
+            .min_by_key(|&&c| (free_at[c], c))
+            .unwrap_or_else(|| panic!("table {table} missing from placement plan"));
+        shards[channel].batches.push(batch);
+    }
+    shards
+        .into_iter()
+        .enumerate()
+        .filter(|(_, s)| !s.batches.is_empty())
+        .collect()
+}
+
+/// Scatters one job across the channels owning its tables
+/// ([`scatter`]) and gathers: each shard queues on its channel, and
+/// every member query completes at the slowest shard plus the host
+/// merge cost plus `host_cycles` (the host-cache charge for this job's
+/// absorbed lookups). Returns the job's completion cycle.
 #[allow(clippy::too_many_arguments)]
 fn serve_scattered(
     backend: &mut dyn SlsBackend,
@@ -593,35 +618,22 @@ fn serve_scattered(
     merged: &mut RunReport,
 ) -> Result<Cycle, SimError> {
     let lookups = trace.total_lookups();
-    let mut shards: Vec<SlsTrace> = vec![SlsTrace::default(); free_at.len()];
-    for batch in trace.batches {
-        let table = batch.table();
-        let replicas = plan.replicas(table);
-        let &channel = replicas
-            .iter()
-            .min_by_key(|&&c| (free_at[c], c))
-            .unwrap_or_else(|| panic!("table {table} missing from placement plan"));
-        shards[channel].batches.push(batch);
-    }
+    let shards = scatter(plan, free_at, trace.batches);
 
     let mut slowest = job.dispatch;
-    let mut fanout: Cycle = 0;
     let mut scattered = 0u64;
-    for (channel, shard) in shards.iter().enumerate() {
-        if shard.batches.is_empty() {
-            continue;
-        }
+    for (channel, shard) in &shards {
         scattered += shard.total_lookups();
-        let report = backend.try_run_on(channel, shard)?;
-        let start = job.dispatch.max(free_at[channel]);
+        let report = backend.try_run_on(*channel, shard)?;
+        let start = job.dispatch.max(free_at[*channel]);
         let complete = start + report.total_cycles;
-        free_at[channel] = complete;
+        free_at[*channel] = complete;
         slowest = slowest.max(complete);
-        fanout += 1;
         merged.absorb_parallel(report);
     }
     debug_assert_eq!(scattered, lookups, "scatter must conserve lookups");
 
+    let fanout = shards.len() as Cycle;
     let complete = slowest + gather.base + gather.per_shard * fanout + host_cycles;
     for &q in &job.members {
         completions[q] = complete;

@@ -3,7 +3,8 @@
 //! * fleet serving output is byte-identical across execution-pool worker
 //!   counts {1, 2, 8} and across reruns at a fixed count;
 //! * scattered queries conserve lookups across nodes for every router;
-//! * a 1-node fleet is numerically the bare 4-channel cluster;
+//! * a 1-node fleet is numerically the bare 4-channel cluster, under
+//!   every router;
 //! * (property) the router's node pick always lands on a node whose
 //!   channel-level plan owns the table, for every table, salt, policy
 //!   and geometry.
@@ -96,16 +97,13 @@ fn fleet_serving_conserves_lookups_across_nodes() {
 #[test]
 fn one_node_fleet_is_numerically_the_bare_cluster() {
     let dispatch = FleetDispatch::sharded();
-    let fleet_cfg = cfg(1, 30, dispatch);
-    let mut fleet = Fleet::reference(1);
-    let fleet_report = serve_fleet(&mut fleet, &fleet_cfg).expect("fleet serving run");
-
+    let base_cfg = cfg(1, 30, dispatch);
     let mut cluster = reference_cluster4();
     let cluster_cfg = ServingConfig {
-        process: fleet_cfg.process,
-        qps: fleet_cfg.qps,
-        queries: fleet_cfg.queries,
-        shape: fleet_cfg.shape,
+        process: base_cfg.process,
+        qps: base_cfg.qps,
+        queries: base_cfg.queries,
+        shape: base_cfg.shape,
         mode: ServingMode::Sharded(ShardedDispatch {
             placement: dispatch.within_policy,
             gather: dispatch.gather,
@@ -115,18 +113,35 @@ fn one_node_fleet_is_numerically_the_bare_cluster() {
         }),
         coalescing: None,
         max_queue_depth: None,
-        seed: fleet_cfg.seed,
+        seed: base_cfg.seed,
     };
     let cluster_report = serve(cluster.as_mut(), &cluster_cfg).expect("cluster serving run");
 
-    assert_eq!(fleet_report.arrivals, cluster_report.arrivals);
-    assert_eq!(fleet_report.completions, cluster_report.completions);
-    assert_eq!(fleet_report.latencies, cluster_report.latencies);
-    assert_eq!(fleet_report.report.insts, cluster_report.report.insts);
-    assert_eq!(
-        fleet_report.report.total_cycles,
-        cluster_report.report.total_cycles
-    );
+    // With one node every router has a single replica to pick, so each
+    // must reduce to the bare cluster's sharded scatter.
+    for router in RouterPolicy::ALL {
+        let fleet_cfg = FleetConfig {
+            dispatch: FleetDispatch { router, ..dispatch },
+            ..base_cfg
+        };
+        let mut fleet = Fleet::reference(1);
+        let fleet_report = serve_fleet(&mut fleet, &fleet_cfg).expect("fleet serving run");
+        let name = router.name();
+        assert_eq!(fleet_report.arrivals, cluster_report.arrivals, "{name}");
+        assert_eq!(
+            fleet_report.completions, cluster_report.completions,
+            "{name}"
+        );
+        assert_eq!(fleet_report.latencies, cluster_report.latencies, "{name}");
+        assert_eq!(
+            fleet_report.report.insts, cluster_report.report.insts,
+            "{name}"
+        );
+        assert_eq!(
+            fleet_report.report.total_cycles, cluster_report.report.total_cycles,
+            "{name}"
+        );
+    }
 }
 
 /// A random profiled-table set: table `i` with the given bytes/accesses.

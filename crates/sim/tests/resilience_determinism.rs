@@ -6,8 +6,10 @@
 //!   every recovery mechanism engaged (retry, hedging, SLO guard);
 //! * outcomes conserve the offered load: every query is exactly one of
 //!   completed / rejected / shed / failed, and the counters agree;
-//! * a zero-fault, zero-policy resilience run reproduces the plain
-//!   fleet path byte for byte;
+//! * a fault-free run is inert: no failover, hedge, retry, rejected,
+//!   shed or failed query, for every router and placement, including an
+//!   overloaded hash-affinity run whose skewed node service would trip
+//!   a live health tracker;
 //! * (property) failover never routes a query to a crashed node, for
 //!   every router, seed and crash site.
 
@@ -112,35 +114,49 @@ fn outcomes_conserve_the_offered_load() {
     }
 }
 
+/// Asserts that a fault-free run used none of the resilience machinery.
+fn assert_inert(report: &FleetReport, case: &str) {
+    let r = &report.report;
+    assert_eq!(
+        (r.failovers, r.hedges, r.retries),
+        (0, 0, 0),
+        "{case}: failovers, hedges, retries"
+    );
+    assert_eq!(
+        (r.queries_rejected, r.queries_shed, r.queries_failed),
+        (0, 0, 0),
+        "{case}: rejected, shed, failed"
+    );
+    assert!(report.failures.is_empty(), "{case}: failures recorded");
+    assert_eq!(report.availability(), 1.0, "{case}: availability");
+}
+
 #[test]
-fn zero_fault_resilience_reproduces_the_plain_fleet_path() {
+fn fault_free_serving_is_inert() {
+    let mut cases = Vec::new();
     for router in RouterPolicy::ALL {
-        for dispatch in [
-            FleetDispatch {
-                router,
-                ..FleetDispatch::replicated(2)
-            },
-            FleetDispatch {
-                router,
-                ..FleetDispatch::sharded()
-            },
-        ] {
-            let c = cfg(3, 24, dispatch);
-            let mut plain_fleet = Fleet::reference(3);
-            let plain = serve_fleet(&mut plain_fleet, &c).expect("plain fleet run");
-            let mut res_fleet = Fleet::reference(3);
-            let resilient = serve_fleet_resilient(&mut res_fleet, &c, &ResilienceConfig::zero())
-                .expect("zero-fault resilient run");
-            assert_eq!(
-                plain.latencies,
-                resilient.latencies,
-                "router {} diverged with a zero fault plan",
-                router.name()
-            );
-            assert_eq!(plain.completions, resilient.completions);
-            assert_eq!(plain.node_queries, resilient.node_queries);
-            assert_eq!(plain.report, resilient.report);
+        for dispatch in [FleetDispatch::replicated(2), FleetDispatch::sharded()] {
+            let dispatch = FleetDispatch { router, ..dispatch };
+            let name = format!("{} {}", router.name(), dispatch.label());
+            cases.push((name, 3, cfg(3, 24, dispatch)));
         }
+    }
+    // Overloaded hash-affinity on 4 nodes: at this seed the observed
+    // per-node service skews enough that a health tracker with a finite
+    // `degraded_after` fails traffic over with no fault injected.
+    let mut overload = cfg(4, 48, FleetDispatch::replicated(4));
+    overload.qps *= 20.0;
+    overload.seed = 13;
+    cases.push(("hash-affinity overload seed 13".to_string(), 4, overload));
+
+    for (name, nodes, c) in &cases {
+        let mut fleet = Fleet::reference(*nodes);
+        let report = serve_fleet(&mut fleet, c).expect("fault-free fleet run");
+        assert_inert(&report, name);
+        let mut fleet = Fleet::reference(*nodes);
+        let report = serve_fleet_resilient(&mut fleet, c, &ResilienceConfig::zero())
+            .expect("zero-resilience fleet run");
+        assert_inert(&report, name);
     }
 }
 
